@@ -5,11 +5,18 @@
 //! `sharded/1` vs `single_queue` isolates the pure cost of the
 //! window/barrier machinery (provisional sequencing, record logs, the
 //! k-way merge) with zero cross-shard traffic; 2 and 4 shards add the
-//! cross-shard frame hand-off. On a single-core host the sharded runs
-//! cannot win wall-clock — the point of the group is to price the
-//! barrier/merge overhead that a multi-core host would have to amortize.
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+//! cross-shard frame hand-off and run the shards' windows on parallel
+//! threads.
+//!
+//! Two groups:
+//! * `sharded_steady_n1000` — the network is first warmed for
+//!   10 simulated seconds outside the timed closure (past TC
+//!   convergence, where TC flooding dominates), then each iteration
+//!   times one further simulated second.
+//! * `sharded_cold_n1000` — each iteration builds the network and runs
+//!   3 s from t = 0, where only HELLOs flow and per-window thread spawns
+//!   dominate.
+use criterion::{criterion_group, criterion_main, Criterion};
 use qolsr::policy::SelectorPolicy;
 use qolsr::selector::Fnbp;
 use qolsr_graph::deploy::{deploy_at, Deployment, UniformWeights};
@@ -45,8 +52,8 @@ fn field_topology(n: usize, seed: u64) -> Topology {
     )
 }
 
-fn run(topo: &Topology, exec: ExecMode, secs: u64) -> u64 {
-    let mut net = OlsrNetwork::with_exec(
+fn network(topo: &Topology, exec: ExecMode) -> OlsrNetwork<SelectorPolicy<Fnbp<BandwidthMetric>>> {
+    OlsrNetwork::with_exec(
         topo.clone(),
         OlsrConfig::default(),
         RadioConfig::default(),
@@ -54,28 +61,48 @@ fn run(topo: &Topology, exec: ExecMode, secs: u64) -> u64 {
         SchedulerKind::default(),
         exec,
         |_| SelectorPolicy::new(Fnbp::<BandwidthMetric>::new()),
-    );
-    net.run_for(SimDuration::from_secs(secs));
-    net.engine_stats().events
+    )
 }
 
-fn bench_sharded_engine(c: &mut Criterion) {
+const EXECS: [(&str, ExecMode); 4] = [
+    ("single_queue", ExecMode::SingleShard),
+    ("sharded/1", ExecMode::Sharded { shards: 1 }),
+    ("sharded/2", ExecMode::Sharded { shards: 2 }),
+    ("sharded/4", ExecMode::Sharded { shards: 4 }),
+];
+
+fn bench_steady_state(c: &mut Criterion) {
     let topo = field_topology(1000, 0x0150);
-    let secs = 3;
-    let mut group = c.benchmark_group("sharded_engine_n1000");
+    let mut group = c.benchmark_group("sharded_steady_n1000");
     group.sample_size(10);
-    group.bench_function("single_queue", |b| {
-        b.iter(|| black_box(run(&topo, ExecMode::SingleShard, secs)))
-    });
-    for shards in [1u32, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("sharded", shards),
-            &shards,
-            |b, &shards| b.iter(|| black_box(run(&topo, ExecMode::Sharded { shards }, secs))),
-        );
+    for (id, exec) in EXECS {
+        group.bench_function(id, |b| {
+            let mut net = network(&topo, exec);
+            net.run_for(SimDuration::from_secs(10));
+            b.iter(|| {
+                net.run_for(SimDuration::from_secs(1));
+                black_box(net.engine_stats().events)
+            })
+        });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_sharded_engine);
+fn bench_cold_start(c: &mut Criterion) {
+    let topo = field_topology(1000, 0x0150);
+    let mut group = c.benchmark_group("sharded_cold_n1000");
+    group.sample_size(10);
+    for (id, exec) in EXECS {
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let mut net = network(&topo, exec);
+                net.run_for(SimDuration::from_secs(3));
+                black_box(net.engine_stats().events)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_steady_state, bench_cold_start);
 criterion_main!(benches);

@@ -11,6 +11,7 @@ use std::cmp::Ordering;
 use qolsr_graph::{DynamicTopology, NodeId, Topology, WorldEvent};
 use qolsr_metrics::LinkQos;
 
+use crate::channel::{apply_world_event, Channel, FrontEnd};
 use crate::queue::{EventQueue, QueueItem, SchedulerKind};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -271,7 +272,7 @@ pub struct FrameDamage {
 
 impl FrameDamage {
     /// Draws one damage description from a corruption stream (called by
-    /// the engines after the per-delivery gate draw hits).
+    /// the channel after the per-delivery gate draw hits).
     pub(crate) fn sample(params: &CorruptionParams, rng: &mut SimRng) -> Self {
         if rng.next_f64() < f64::from(params.truncate_ppm) / 1e6 {
             Self {
@@ -305,135 +306,6 @@ impl FrameDamage {
             let bit = (u64::from(point) * bits / 1_000_000).min(bits - 1);
             bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
         }
-    }
-}
-
-/// Salt separating the PHY loss streams from the engine seed: the loss
-/// master RNG is `seed ^ LOSS_STREAM_SALT`, split once per node in node
-/// order. Both engines derive the streams identically, and `Ideal` runs
-/// never touch them.
-pub(crate) const LOSS_STREAM_SALT: u64 = 0x4c4f_5353_5048_5921; // "LOSSPHY!"
-
-/// Salt separating the frame-corruption streams from the engine seed
-/// (and from the loss streams): the corruption master RNG is
-/// `seed ^ CORRUPT_STREAM_SALT`, split once per node in node order.
-/// [`FrameCorruption::Off`] runs never touch them.
-pub(crate) const CORRUPT_STREAM_SALT: u64 = 0x4252_4954_464c_4950; // "BRITFLIP"
-
-/// Builds the per-sender corruption streams for `n` nodes — empty under
-/// [`FrameCorruption::Off`] (no corruption randomness exists to track).
-pub(crate) fn corrupt_streams(seed: u64, n: usize, corruption: FrameCorruption) -> Vec<SimRng> {
-    match corruption {
-        FrameCorruption::Off => Vec::new(),
-        FrameCorruption::On(_) => {
-            let mut master = SimRng::seed_from_u64(seed ^ CORRUPT_STREAM_SALT);
-            (0..n).map(|_| master.split()).collect()
-        }
-    }
-}
-
-/// The fate the corruption injector decided for one in-flight frame
-/// copy.
-pub(crate) enum InFlight<M> {
-    /// Deliver the original frame untouched.
-    Intact,
-    /// Deliver this damaged copy instead.
-    Damaged(M),
-    /// The damage was caught by the link-layer frame check: no delivery.
-    DroppedByFcs,
-}
-
-/// Samples the corruption injector for one surviving delivery attempt
-/// from the sender's stream (`corrupt_rngs[slot]`) and asks the actor
-/// type for the damaged copy. Exactly one gate draw per call (even when
-/// the corruption probability is zero); when the gate hits, the damage
-/// draws and one FCS draw follow — the stream position stays a pure
-/// function of the sender's send history, identical across engines and
-/// shard counts. Counts `fcs_drops` for detected damage and
-/// `corrupted_frames` only when a mangled frame will actually arrive
-/// (opaque message types opt out via the `corrupt_frame` default and
-/// pass intact).
-pub(crate) fn corrupt_in_flight<A: Actor>(
-    corruption: FrameCorruption,
-    corrupt_rngs: &mut [SimRng],
-    slot: usize,
-    msg: &A::Msg,
-    stats: &mut SimStats,
-) -> InFlight<A::Msg> {
-    if corrupt_rngs.is_empty() {
-        return InFlight::Intact;
-    }
-    let FrameCorruption::On(params) = corruption else {
-        return InFlight::Intact;
-    };
-    let rng = &mut corrupt_rngs[slot];
-    if rng.next_f64() >= f64::from(params.corrupt_ppm) / 1e6 {
-        return InFlight::Intact;
-    }
-    let damage = FrameDamage::sample(&params, rng);
-    if rng.next_f64() >= f64::from(params.fcs_evade_ppm) / 1e6 {
-        stats.fcs_drops += 1;
-        return InFlight::DroppedByFcs;
-    }
-    match A::corrupt_frame(msg, &damage) {
-        Some(damaged) => {
-            stats.corrupted_frames += 1;
-            InFlight::Damaged(damaged)
-        }
-        None => InFlight::Intact,
-    }
-}
-
-/// Builds the per-sender PHY loss streams for `n` nodes — empty under
-/// [`PhyModel::Ideal`] (no PHY randomness exists to track).
-pub(crate) fn loss_streams(seed: u64, n: usize, phy: PhyModel) -> Vec<SimRng> {
-    match phy {
-        PhyModel::Ideal => Vec::new(),
-        PhyModel::Lossy(_) => {
-            let mut master = SimRng::seed_from_u64(seed ^ LOSS_STREAM_SALT);
-            (0..n).map(|_| master.split()).collect()
-        }
-    }
-}
-
-/// Samples the PHY for one delivery attempt from `from` to `to`:
-/// `true` when the frame is dropped in flight. `Ideal` never drops and
-/// consumes no randomness; `Lossy` draws exactly one value from the
-/// sender's loss stream per attempt (even at probability zero), so the
-/// stream position is a pure function of the sender's send history —
-/// identical across engines and shard counts.
-pub(crate) fn phy_drops_frame(
-    phy: PhyModel,
-    world: &DynamicTopology,
-    from: NodeId,
-    to: NodeId,
-    loss_rng: &mut SimRng,
-) -> bool {
-    let PhyModel::Lossy(lossy) = phy else {
-        return false;
-    };
-    let d = world.position(from).distance(world.position(to));
-    loss_rng.next_f64() < lossy.drop_probability(d, world.radius())
-}
-
-/// First-frame-capture collision check at delivery dispatch: a frame
-/// arriving while the receiver is still busy with a previous frame is
-/// lost; otherwise it is received and occupies the receiver for the
-/// capture window. Deterministic (no randomness) and shard-invariant,
-/// because a receiver's deliveries dispatch in the same global
-/// `(time, seq)` order in every engine.
-pub(crate) fn phy_collides(phy: PhyModel, now: SimTime, busy_until: &mut SimTime) -> bool {
-    let PhyModel::Lossy(lossy) = phy else {
-        return false;
-    };
-    if lossy.capture_window == SimDuration::ZERO {
-        return false;
-    }
-    if now < *busy_until {
-        true
-    } else {
-        *busy_until = now + lossy.capture_window;
-        false
     }
 }
 
@@ -554,6 +426,25 @@ impl<M> QueueItem for Scheduled<M> {
     }
 }
 
+/// Pushes an event under the next exact sequence number.
+fn enqueue<M>(
+    queue: &mut EventQueue<Scheduled<M>>,
+    seq: &mut u64,
+    time: SimTime,
+    node: NodeId,
+    generation: u32,
+    kind: EventKind<M>,
+) {
+    queue.push(Scheduled {
+        time,
+        seq: *seq,
+        node,
+        generation,
+        kind,
+    });
+    *seq += 1;
+}
+
 /// Engine statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SimStats {
@@ -623,6 +514,56 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// Adds `other` field by field. The destructuring is exhaustive, so a
+    /// counter added without a line here fails to compile instead of
+    /// silently diverging across shard counts.
+    pub(crate) fn merge(&mut self, other: &SimStats) {
+        let SimStats {
+            events,
+            broadcasts,
+            unicasts,
+            deliveries,
+            dropped_unicasts,
+            timers,
+            world_changes,
+            stale_dropped,
+            phy_drops,
+            collisions,
+            partition_drops,
+            corrupted_frames,
+            fcs_drops,
+            data_unicasts,
+            data_deliveries,
+            data_no_link_drops,
+            data_phy_drops,
+            data_fcs_drops,
+            data_partition_drops,
+            data_collisions,
+            data_stale_drops,
+        } = *other;
+        self.events += events;
+        self.broadcasts += broadcasts;
+        self.unicasts += unicasts;
+        self.deliveries += deliveries;
+        self.dropped_unicasts += dropped_unicasts;
+        self.timers += timers;
+        self.world_changes += world_changes;
+        self.stale_dropped += stale_dropped;
+        self.phy_drops += phy_drops;
+        self.collisions += collisions;
+        self.partition_drops += partition_drops;
+        self.corrupted_frames += corrupted_frames;
+        self.fcs_drops += fcs_drops;
+        self.data_unicasts += data_unicasts;
+        self.data_deliveries += data_deliveries;
+        self.data_no_link_drops += data_no_link_drops;
+        self.data_phy_drops += data_phy_drops;
+        self.data_fcs_drops += data_fcs_drops;
+        self.data_partition_drops += data_partition_drops;
+        self.data_collisions += data_collisions;
+        self.data_stale_drops += data_stale_drops;
+    }
+
     /// Data frames that left a sender but reached no receiver: the
     /// in-flight loss the engine (not a node) is responsible for. After
     /// the event queue quiesces this equals
@@ -656,21 +597,17 @@ pub struct Simulator<A: Actor> {
     generations: Vec<u32>,
     rngs: Vec<SimRng>,
     engine_rng: SimRng,
-    /// Per-sender PHY loss streams (see [`loss_streams`]); empty under
-    /// [`PhyModel::Ideal`].
-    loss_rngs: Vec<SimRng>,
-    /// Per-sender corruption streams (see [`corrupt_streams`]); empty
-    /// under [`FrameCorruption::Off`].
-    corrupt_rngs: Vec<SimRng>,
-    /// Per-receiver capture state for the collision model; empty unless
-    /// the PHY is lossy.
-    busy_until: Vec<SimTime>,
+    /// Per-node radio front ends (loss and corruption streams, capture
+    /// state).
+    fronts: Vec<FrontEnd>,
     queue: EventQueue<Scheduled<A::Msg>>,
     now: SimTime,
     seq: u64,
     stats: SimStats,
     stop: bool,
     trace: Option<TraceBuffer>,
+    /// Effect scratch buffer for handler invocations.
+    effects: Vec<Effect<A::Msg>>,
 }
 
 impl<A: Actor> Simulator<A> {
@@ -701,13 +638,6 @@ impl<A: Actor> Simulator<A> {
         let n = topology.len();
         let actors: Vec<A> = topology.nodes().map(&mut build).collect();
         let rngs: Vec<SimRng> = (0..n).map(|_| engine_rng.split()).collect();
-        let loss_rngs = loss_streams(seed, n, radio.phy);
-        let corrupt_rngs = corrupt_streams(seed, n, radio.corruption);
-        let busy_until = if loss_rngs.is_empty() {
-            Vec::new()
-        } else {
-            vec![SimTime::ZERO; n]
-        };
         let mut sim = Self {
             world: DynamicTopology::new(&topology),
             radio,
@@ -715,15 +645,14 @@ impl<A: Actor> Simulator<A> {
             generations: vec![0; n],
             rngs,
             engine_rng,
-            loss_rngs,
-            corrupt_rngs,
-            busy_until,
+            fronts: FrontEnd::per_node(seed, n, &radio),
             queue: EventQueue::new(scheduler),
             now: SimTime::ZERO,
             seq: 0,
             stats: SimStats::default(),
             stop: false,
             trace: None,
+            effects: Vec::new(),
         };
         for node in sim.world.nodes() {
             sim.push(SimTime::ZERO, node, EventKind::Start);
@@ -736,15 +665,7 @@ impl<A: Actor> Simulator<A> {
             EventKind::World(_) => u32::MAX,
             _ => self.generations[node.index()],
         };
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            time,
-            seq,
-            node,
-            generation,
-            kind,
-        });
+        enqueue(&mut self.queue, &mut self.seq, time, node, generation, kind);
     }
 
     /// Schedules a world event for application at virtual time `at`
@@ -845,268 +766,78 @@ impl<A: Actor> Simulator<A> {
             return false;
         };
         debug_assert!(ev.time >= self.now, "time must be monotone");
-        self.now = ev.time;
+        let (now, node) = (ev.time, ev.node);
+        self.now = now;
         self.stats.events += 1;
-
-        let node = ev.node;
-        if let EventKind::World(world_event) = ev.kind {
-            self.apply_world_event(world_event);
+        if let EventKind::World(event) = ev.kind {
+            self.apply_world_event(event);
             return true;
         }
-        // Events of a previous node life (armed before a `Leave`) are
-        // dropped: the node's timers died with it, and in-flight frames
-        // have no receiver.
-        if ev.generation != self.generations[node.index()] {
-            self.stats.stale_dropped += 1;
-            if let EventKind::Deliver { msg, .. } = &ev.kind {
-                if A::is_data(msg) {
-                    self.stats.data_stale_drops += 1;
-                }
-            }
+        let i = node.index();
+        let mut channel = Channel {
+            radio: &self.radio,
+            world: &self.world,
+            stats: &mut self.stats,
+        };
+        if !channel.admit::<A>(&self.generations, &ev, || &mut self.fronts[i]) {
             return true;
         }
-        // An active partition drops cross-cut frames at dispatch —
-        // including frames already in flight when the cut landed — and
-        // leaves no mark on the receiver (checked before the capture
-        // window, which a never-received frame cannot occupy).
-        if let EventKind::Deliver { from, msg } = &ev.kind {
-            if self.world.partitioned(*from, node) {
-                self.stats.partition_drops += 1;
-                if A::is_data(msg) {
-                    self.stats.data_partition_drops += 1;
-                }
-                return true;
-            }
-        }
-        // Receiver capture: a frame landing inside the busy window of a
-        // previously received frame collides and is lost before the
-        // actor sees it (like a stale drop, it leaves no trace record).
-        if let EventKind::Deliver { msg, .. } = &ev.kind {
-            if !self.busy_until.is_empty()
-                && phy_collides(self.radio.phy, self.now, &mut self.busy_until[node.index()])
-            {
-                self.stats.collisions += 1;
-                if A::is_data(msg) {
-                    self.stats.data_collisions += 1;
-                }
-                return true;
-            }
-        }
-
-        let mut effects: Vec<Effect<A::Msg>> = Vec::new();
-        {
-            let mut ctx = Context {
-                now: self.now,
-                node,
-                world: &self.world,
-                rng: &mut self.rngs[node.index()],
-                effects: &mut effects,
-                stop: &mut self.stop,
-            };
-            let actor = &mut self.actors[node.index()];
-            match ev.kind {
-                EventKind::Start => {
-                    actor.on_start(&mut ctx);
-                }
-                EventKind::Timer(t) => {
-                    self.stats.timers += 1;
-                    actor.on_timer(&mut ctx, t);
-                }
-                EventKind::Deliver { from, msg } => {
-                    self.stats.deliveries += 1;
-                    if A::is_data(&msg) {
-                        self.stats.data_deliveries += 1;
-                    }
-                    actor.on_message(&mut ctx, from, msg);
-                }
-                EventKind::World(_) => unreachable!("world events dispatch above"),
-            }
-        }
+        let mut effects = std::mem::take(&mut self.effects);
+        let ctx = Context {
+            now,
+            node,
+            world: &self.world,
+            rng: &mut self.rngs[i],
+            effects: &mut effects,
+            stop: &mut self.stop,
+        };
+        channel.invoke(&mut self.actors[i], ctx, ev.kind);
         if let Some(trace) = &mut self.trace {
             trace.record(TraceEvent {
-                time: self.now,
+                time: now,
                 node,
                 kind: TraceKind::Dispatched,
             });
         }
-        self.apply_effects(node, effects);
+        // Children get exact sequence numbers in emission order; jitter
+        // comes from the single engine stream.
+        let (queue, seq, generations) = (&mut self.queue, &mut self.seq, &self.generations);
+        for effect in effects.drain(..) {
+            let timer = channel.transmit::<A>(
+                node,
+                now,
+                &mut self.fronts[i],
+                &mut self.engine_rng,
+                effect,
+                |at, to, msg| {
+                    let kind = EventKind::Deliver { from: node, msg };
+                    enqueue(queue, seq, at, to, generations[to.index()], kind);
+                },
+            );
+            if let Some((after, timer)) = timer {
+                let kind = EventKind::Timer(timer);
+                enqueue(queue, seq, now + after, node, generations[i], kind);
+            }
+        }
+        self.effects = effects;
         true
     }
 
+    /// Applies a world event through the channel and restarts the node
+    /// it reboots, if any.
     fn apply_world_event(&mut self, event: WorldEvent) {
-        let changed = self.world.apply(&event);
-        if changed {
-            self.stats.world_changes += 1;
-            if let Some(trace) = &mut self.trace {
-                trace.record(TraceEvent {
-                    time: self.now,
-                    node: match event {
-                        WorldEvent::LinkUp { a, .. }
-                        | WorldEvent::LinkDown { a, .. }
-                        | WorldEvent::QosChange { a, .. } => a,
-                        WorldEvent::Move { node, .. }
-                        | WorldEvent::Join { node }
-                        | WorldEvent::Leave { node }
-                        | WorldEvent::Crash { node } => node,
-                        // Network-level faults have no single subject.
-                        WorldEvent::Partition { .. } | WorldEvent::Heal => NodeId(0),
-                    },
-                    kind: TraceKind::WorldChanged,
-                });
-            }
-        }
-        match event {
-            WorldEvent::Leave { node } if changed => {
-                // Cancel the old life's pending timers and deliveries.
-                self.generations[node.index()] += 1;
-            }
-            WorldEvent::Join { node } if changed => {
-                // The node boots fresh: protocol state resets and the
-                // start handler runs again (in the *current* generation,
-                // so its new timers are live). The radio front-end is
-                // new hardware too — no capture window survives a
-                // power cycle.
-                self.actors[node.index()].on_reset();
-                if let Some(busy) = self.busy_until.get_mut(node.index()) {
-                    *busy = SimTime::ZERO;
-                }
-                self.push(self.now, node, EventKind::Start);
-            }
-            WorldEvent::Crash { node } if changed => {
-                // Instant reboot: the node never deactivates and keeps
-                // its links, but the old life's timers and in-flight
-                // deliveries die with the crash, the actor wipes
-                // everything (including sequence numbers — see
-                // `Actor::on_crash`), and the start handler runs again
-                // in the new generation.
-                self.generations[node.index()] += 1;
-                self.actors[node.index()].on_crash();
-                if let Some(busy) = self.busy_until.get_mut(node.index()) {
-                    *busy = SimTime::ZERO;
-                }
-                self.push(self.now, node, EventKind::Start);
-            }
-            _ => {}
-        }
-    }
-
-    /// Samples the PHY for one send from `from` to `to`; counts and
-    /// reports an in-flight drop. Dropped frames never become delivery
-    /// events (and consume no jitter draw — under zero jitter none
-    /// exists, and with jitter the per-draw schedule is already a
-    /// documented divergence between the engines).
-    fn phy_drops(&mut self, from: NodeId, to: NodeId) -> bool {
-        if self.loss_rngs.is_empty() {
-            return false;
-        }
-        let dropped = phy_drops_frame(
-            self.radio.phy,
-            &self.world,
-            from,
-            to,
-            &mut self.loss_rngs[from.index()],
-        );
-        if dropped {
-            self.stats.phy_drops += 1;
-        }
-        dropped
-    }
-
-    /// Samples the corruption injector for one surviving send from
-    /// `from` and decides the frame copy's fate: intact, damaged, or
-    /// caught by the link-layer frame check and dropped at the radio.
-    fn corrupt_one(&mut self, from: NodeId, msg: &A::Msg) -> InFlight<A::Msg> {
-        corrupt_in_flight::<A>(
-            self.radio.corruption,
-            &mut self.corrupt_rngs,
-            from.index(),
-            msg,
+        let reboot = apply_world_event(
+            &mut self.world,
+            &mut self.generations,
             &mut self.stats,
-        )
-    }
-
-    fn delivery_delay(&mut self) -> SimDuration {
-        let jitter_us = self.radio.jitter.as_micros();
-        if jitter_us == 0 {
-            self.radio.latency
-        } else {
-            self.radio.latency + SimDuration::from_micros(self.engine_rng.next_below(jitter_us))
-        }
-    }
-
-    fn apply_effects(&mut self, node: NodeId, effects: Vec<Effect<A::Msg>>) {
-        for effect in effects {
-            match effect {
-                Effect::Broadcast(msg) => {
-                    self.stats.broadcasts += 1;
-                    let neighbors: Vec<NodeId> =
-                        self.world.neighbors(node).map(|(n, _)| n).collect();
-                    for to in neighbors {
-                        if self.phy_drops(node, to) {
-                            continue;
-                        }
-                        let payload = match self.corrupt_one(node, &msg) {
-                            InFlight::Intact => msg.clone(),
-                            InFlight::Damaged(damaged) => damaged,
-                            InFlight::DroppedByFcs => continue,
-                        };
-                        let delay = self.delivery_delay();
-                        let at = self.now + delay;
-                        self.push(
-                            at,
-                            to,
-                            EventKind::Deliver {
-                                from: node,
-                                msg: payload,
-                            },
-                        );
-                    }
-                }
-                Effect::Unicast(to, msg) => {
-                    self.stats.unicasts += 1;
-                    let is_data = A::is_data(&msg);
-                    if is_data {
-                        self.stats.data_unicasts += 1;
-                    }
-                    if self.world.has_link(node, to) {
-                        if self.phy_drops(node, to) {
-                            if is_data {
-                                self.stats.data_phy_drops += 1;
-                            }
-                            continue;
-                        }
-                        let payload = match self.corrupt_one(node, &msg) {
-                            InFlight::Intact => msg,
-                            InFlight::Damaged(damaged) => damaged,
-                            InFlight::DroppedByFcs => {
-                                if is_data {
-                                    self.stats.data_fcs_drops += 1;
-                                }
-                                continue;
-                            }
-                        };
-                        let delay = self.delivery_delay();
-                        let at = self.now + delay;
-                        self.push(
-                            at,
-                            to,
-                            EventKind::Deliver {
-                                from: node,
-                                msg: payload,
-                            },
-                        );
-                    } else {
-                        self.stats.dropped_unicasts += 1;
-                        if is_data {
-                            self.stats.data_no_link_drops += 1;
-                        }
-                    }
-                }
-                Effect::Timer(after, timer) => {
-                    let at = self.now + after;
-                    self.push(at, node, EventKind::Timer(timer));
-                }
-            }
+            &mut self.trace,
+            self.now,
+            event,
+        );
+        if let Some(reboot) = reboot {
+            let i = reboot.node().index();
+            reboot.reset(&mut self.actors[i], &mut self.fronts[i]);
+            self.push(self.now, reboot.node(), EventKind::Start);
         }
     }
 

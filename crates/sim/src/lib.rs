@@ -140,6 +140,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod channel;
 mod engine;
 pub mod queue;
 mod rng;

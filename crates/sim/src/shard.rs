@@ -1,47 +1,28 @@
 //! Region-sharded parallel execution of the discrete-event engine.
 //!
-//! [`ShardedSimulator`] partitions the node population into `K` shards by
-//! vertical stripes over the deployment's x-extent (the same spatial
-//! locality the grid-based neighbor discovery exploits), gives each shard
-//! a private [`EventQueue`] timer wheel, and advances virtual time in
-//! bounded windows:
+//! [`ShardedSimulator`] partitions the nodes into `K` vertical stripes of
+//! the deployment's x-extent, gives each shard a private [`EventQueue`],
+//! and advances virtual time in windows no wider than the radio latency,
+//! so a delivery emitted inside a window is never due before the window
+//! ends:
 //!
-//! * **Parallel phase** — every shard with work due in the window
-//!   `[t0, t1)` steps on its own scoped thread (`crossbeam::thread::scope`
-//!   from `vendor/`). The window width never exceeds the radio latency,
-//!   so a delivery emitted inside a window is always due at or after the
-//!   window's end — shards can run a whole window without observing each
-//!   other. Self-timers that land inside the window execute locally under
-//!   *provisional* sequence numbers (high bit set).
-//! * **Barrier** — each shard hands back its dispatch log plus the
-//!   deliveries and post-window timers it produced. A k-way merge walks
-//!   the logs in globally sorted `(time, seq)` order — each shard's log
-//!   is already sorted, because local dispatch order equals the serial
-//!   order restricted to that shard — assigns exact sequence numbers to
-//!   every newly created event in that order (resolving the provisional
-//!   ones), routes deliveries to their receivers' home shards, and
-//!   appends dispatch records to the trace. The observable schedule is
-//!   therefore identical to the single-queue [`Simulator`](crate::Simulator).
-//! * **Serial instants** — scheduled [`WorldEvent`]s and the run deadline
-//!   are barriers by construction: everything due at such an instant is
-//!   dispatched serially in exact `(time, seq)` order (including
-//!   zero-delay effect chains), and a rejoining node is re-homed to the
-//!   shard covering its current position ([`Actor::on_rehome`] runs after
-//!   [`Actor::on_reset`]). A zero-latency radio degrades every instant to
-//!   this serial path — correct, but with nothing left to parallelize.
+//! * **Window** — every shard with work due in `[t0, t1)` steps on its
+//!   own scoped thread, dispatching through the shared channel
+//!   (`crate::channel`). Self-timers landing inside the window run
+//!   locally under *provisional* sequence numbers (high bit set); every
+//!   other child goes to the shard's log.
+//! * **Barrier and merge** — a k-way merge walks the shards' dispatch
+//!   logs in global `(time, seq)` order (each log is already sorted),
+//!   assigns exact sequence numbers to the children in that order,
+//!   routes deliveries to their receivers' shards and appends the trace.
+//!   World-event instants run serially, one dispatch per merge, and a
+//!   rejoining node is re-homed to the stripe covering its position.
 //!
-//! # Determinism contract
-//!
-//! With zero radio jitter (the [`RadioConfig`] default), a run is
-//! **byte-identical** to [`Simulator`](crate::Simulator) under the same seed — engine
-//! stats, dispatch traces, per-node RNG streams and actor end states —
-//! for *any* shard count; `tests/shard_differential.rs` pins this
-//! against the single-queue reference. Two intentional divergences:
-//! with `jitter > 0` delivery jitter is drawn from per-node streams (in
-//! deterministic send order, so runs stay seed-reproducible and
-//! shard-count-invariant) instead of the single engine stream, and
-//! [`Context::stop`] takes effect at the next barrier rather than
-//! mid-window.
+//! With zero radio jitter a run is byte-identical to
+//! [`Simulator`](crate::Simulator) at any shard count. With `jitter > 0`
+//! each sender draws jitter from its own stream, so runs differ from the
+//! single queue but stay identical across shard counts; and
+//! [`Context::stop`] takes effect at the next barrier.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -49,11 +30,8 @@ use std::iter::Peekable;
 
 use qolsr_graph::{DynamicTopology, NodeId, Point2, Topology, WorldEvent};
 
-use crate::engine::{
-    corrupt_in_flight, corrupt_streams, loss_streams, phy_collides, phy_drops_frame, Actor,
-    Context, Effect, EventKind, FrameCorruption, InFlight, PhyModel, RadioConfig, Scheduled,
-    SimStats, TimerId,
-};
+use crate::channel::{apply_world_event, Channel, FrontEnd, Reboot};
+use crate::engine::{Actor, Context, Effect, EventKind, RadioConfig, Scheduled, SimStats, TimerId};
 use crate::queue::{EventQueue, SchedulerKind};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -187,7 +165,7 @@ impl RegionMap {
     }
 }
 
-/// One dispatch performed inside a parallel window, in local order.
+/// One dispatch performed since the last barrier, in local order.
 #[derive(Clone, Copy)]
 struct DispatchRecord {
     time: SimTime,
@@ -201,8 +179,8 @@ struct DispatchRecord {
     children_end: u32,
 }
 
-/// An event created inside a parallel window, awaiting its exact
-/// sequence number at the barrier.
+/// An event created since the last barrier, awaiting its exact sequence
+/// number there.
 enum Child<M> {
     /// A self-timer due within the window: already pushed into the local
     /// queue under the next provisional number; the barrier walk maps
@@ -225,41 +203,47 @@ enum Child<M> {
     },
 }
 
-/// One spatial shard: its member actors and their RNG streams, a private
-/// event queue, and the per-window logs the barrier consumes.
+/// A node's engine-side state, moved as one value when it is re-homed.
+struct Member<A> {
+    actor: A,
+    rng: SimRng,
+    /// Delivery-jitter stream (split from the engine seed after the node
+    /// streams, in node order). Unused when the radio has zero jitter.
+    jitter: SimRng,
+    front: FrontEnd,
+}
+
+/// State every shard reads during a window and nobody mutates until the
+/// next barrier.
+#[derive(Clone, Copy)]
+struct Frozen<'a> {
+    world: &'a DynamicTopology,
+    radio: &'a RadioConfig,
+    generations: &'a [u32],
+    /// Per node: `(home shard, slot within the shard)`.
+    locs: &'a [(u32, u32)],
+}
+
+/// One spatial shard: its members, a private event queue, and the
+/// per-window logs the barrier consumes.
 struct Shard<A: Actor> {
     queue: EventQueue<Scheduled<A::Msg>>,
-    /// Member node ids; `actors[i]`, `rngs[i]` and `jitter_rngs[i]`
-    /// belong to `members[i]`.
+    /// Member node ids; `slots[i]` belongs to `members[i]`.
     members: Vec<NodeId>,
-    actors: Vec<A>,
-    rngs: Vec<SimRng>,
-    /// Per-node delivery-jitter streams (split from the engine seed in
-    /// node order). Unused when the radio has zero jitter.
-    jitter_rngs: Vec<SimRng>,
-    /// Per-node PHY loss streams (split from `seed ^ LOSS_STREAM_SALT`
-    /// in node order, exactly as in the single-queue engine). Empty
-    /// under [`PhyModel::Ideal`].
-    loss_rngs: Vec<SimRng>,
-    /// Per-node frame-corruption streams (split from
-    /// `seed ^ CORRUPT_STREAM_SALT` in node order, exactly as in the
-    /// single-queue engine). Empty under [`FrameCorruption::Off`].
-    corrupt_rngs: Vec<SimRng>,
-    /// Per-node receiver-capture state for the collision model; empty
-    /// unless the PHY is lossy.
-    busy_until: Vec<SimTime>,
+    slots: Vec<Member<A>>,
     /// Window dispatch log, in local dispatch order.
     records: Vec<DispatchRecord>,
     /// Flat per-record child log (see [`DispatchRecord::children_end`]).
     children: Vec<Child<A::Msg>>,
+    /// Next provisional sequence number of the current window.
+    next_prov: u64,
     /// Provisional number -> exact number, filled by the barrier walk in
     /// provisional-assignment order.
     prov_map: Vec<u64>,
     /// Effect scratch buffer for handler invocations.
     effects: Vec<Effect<A::Msg>>,
-    /// Stats accumulated during the current window; folded into the
-    /// global counters at the barrier (all fields are order-independent
-    /// sums).
+    /// Stats accumulated since the last barrier; merged into the global
+    /// counters there (all fields are order-independent sums).
     window_stats: SimStats,
     /// Set when a handler called [`Context::stop`]; honored at the
     /// barrier.
@@ -271,19 +255,99 @@ impl<A: Actor> Shard<A> {
         Self {
             queue: EventQueue::new(scheduler),
             members: Vec::new(),
-            actors: Vec::new(),
-            rngs: Vec::new(),
-            jitter_rngs: Vec::new(),
-            loss_rngs: Vec::new(),
-            corrupt_rngs: Vec::new(),
-            busy_until: Vec::new(),
+            slots: Vec::new(),
             records: Vec::new(),
             children: Vec::new(),
+            next_prov: 0,
             prov_map: Vec::new(),
             effects: Vec::new(),
             window_stats: SimStats::default(),
             stop: false,
         }
+    }
+
+    /// Dispatches one event popped from this shard's queue (or, for a
+    /// serial instant, from any queue) through the channel. Self-timers
+    /// due before `end` go straight back into the local queue under a
+    /// provisional sequence number; every other child is logged for the
+    /// barrier, which assigns the exact numbers.
+    fn dispatch(&mut self, ev: Scheduled<A::Msg>, frozen: Frozen<'_>, end: u64) {
+        let Frozen {
+            world,
+            radio,
+            generations,
+            locs,
+        } = frozen;
+        let (now, node, seq, generation) = (ev.time, ev.node, ev.seq, ev.generation);
+        let mut channel = Channel {
+            radio,
+            world,
+            stats: &mut self.window_stats,
+        };
+        channel.stats.events += 1;
+        // Only a current event is guaranteed to sit on its home shard, so
+        // the slot is indexed only once `admit` has passed the stale check.
+        let slot = locs[node.index()].1 as usize;
+        if !channel.admit::<A>(generations, &ev, || &mut self.slots[slot].front) {
+            return;
+        }
+        debug_assert_eq!(self.members[slot], node);
+        let member = &mut self.slots[slot];
+        let ctx = Context {
+            now,
+            node,
+            world,
+            rng: &mut member.rng,
+            effects: &mut self.effects,
+            stop: &mut self.stop,
+        };
+        channel.invoke(&mut member.actor, ctx, ev.kind);
+        let children = &mut self.children;
+        for effect in self.effects.drain(..) {
+            let timer = channel.transmit::<A>(
+                node,
+                now,
+                &mut member.front,
+                &mut member.jitter,
+                effect,
+                |at, to, msg| {
+                    children.push(Child::Deliver {
+                        at,
+                        to,
+                        from: node,
+                        msg,
+                        generation: generations[to.index()],
+                    })
+                },
+            );
+            let Some((after, timer)) = timer else {
+                continue;
+            };
+            let at = now + after;
+            if at.as_micros() < end {
+                self.queue.push(Scheduled {
+                    time: at,
+                    seq: PROVISIONAL | self.next_prov,
+                    node,
+                    generation,
+                    kind: EventKind::Timer(timer),
+                });
+                self.next_prov += 1;
+                children.push(Child::LocalTimer);
+            } else {
+                children.push(Child::Timer {
+                    at,
+                    timer,
+                    generation,
+                });
+            }
+        }
+        self.records.push(DispatchRecord {
+            time: now,
+            seq,
+            node,
+            children_end: self.children.len() as u32,
+        });
     }
 }
 
@@ -314,222 +378,12 @@ impl Ord for WorldItem {
     }
 }
 
-/// Per-sender delivery delay. The serial engine draws jitter from the
-/// single engine stream in global dispatch order; here each sender owns a
-/// stream, so draws are deterministic in the sender's send order and
-/// independent of the shard count.
-fn delivery_delay(radio: RadioConfig, jitter_rng: &mut SimRng) -> SimDuration {
-    let jitter_us = radio.jitter.as_micros();
-    if jitter_us == 0 {
-        radio.latency
-    } else {
-        radio.latency + SimDuration::from_micros(jitter_rng.next_below(jitter_us))
-    }
-}
-
-/// Runs one shard through the window `[its next due, end)`. Reads shared
-/// world/generation/location state (all frozen between barriers), mutates
-/// only the shard itself.
-fn run_window<A: Actor>(
-    shard: &mut Shard<A>,
-    world: &DynamicTopology,
-    generations: &[u32],
-    locs: &[(u32, u32)],
-    radio: RadioConfig,
-    end: u64,
-) {
+/// Runs one shard through the window `[its next due, end)`.
+fn run_window<A: Actor>(shard: &mut Shard<A>, frozen: Frozen<'_>, end: u64) {
     debug_assert!(shard.records.is_empty() && shard.children.is_empty());
-    let mut prov: u64 = 0;
     while !shard.stop && shard.queue.next_due().is_some_and(|due| due < end) {
         let ev = shard.queue.pop().expect("due item present");
-        let node = ev.node;
-        shard.window_stats.events += 1;
-        if ev.generation != generations[node.index()] {
-            shard.window_stats.stale_dropped += 1;
-            if let EventKind::Deliver { msg, .. } = &ev.kind {
-                if A::is_data(msg) {
-                    shard.window_stats.data_stale_drops += 1;
-                }
-            }
-            continue;
-        }
-        let slot = locs[node.index()].1 as usize;
-        debug_assert_eq!(shard.members[slot], node);
-        // An active partition drops cross-cut frames at dispatch, before
-        // the capture window — exactly as in `Simulator::step`. World
-        // events are barriers, so the cut is frozen for the whole
-        // window and this check commutes with the merge.
-        if let EventKind::Deliver { from, msg } = &ev.kind {
-            if world.partitioned(*from, node) {
-                shard.window_stats.partition_drops += 1;
-                if A::is_data(msg) {
-                    shard.window_stats.data_partition_drops += 1;
-                }
-                continue;
-            }
-        }
-        // Receiver capture, exactly as in `Simulator::step`: a frame
-        // landing inside the busy window collides before the actor sees
-        // it. Receiver state is shard-local, so this commutes with the
-        // barrier (a node's deliveries always dispatch on its home
-        // shard, in global `(time, seq)` order).
-        if let EventKind::Deliver { msg, .. } = &ev.kind {
-            if !shard.busy_until.is_empty()
-                && phy_collides(radio.phy, ev.time, &mut shard.busy_until[slot])
-            {
-                shard.window_stats.collisions += 1;
-                if A::is_data(msg) {
-                    shard.window_stats.data_collisions += 1;
-                }
-                continue;
-            }
-        }
-        shard.effects.clear();
-        {
-            let mut ctx = Context {
-                now: ev.time,
-                node,
-                world,
-                rng: &mut shard.rngs[slot],
-                effects: &mut shard.effects,
-                stop: &mut shard.stop,
-            };
-            let actor = &mut shard.actors[slot];
-            match ev.kind {
-                EventKind::Start => actor.on_start(&mut ctx),
-                EventKind::Timer(t) => {
-                    shard.window_stats.timers += 1;
-                    actor.on_timer(&mut ctx, t);
-                }
-                EventKind::Deliver { from, msg } => {
-                    shard.window_stats.deliveries += 1;
-                    if A::is_data(&msg) {
-                        shard.window_stats.data_deliveries += 1;
-                    }
-                    actor.on_message(&mut ctx, from, msg);
-                }
-                EventKind::World(_) => unreachable!("world events are barriers"),
-            }
-        }
-        for effect in shard.effects.drain(..) {
-            match effect {
-                Effect::Broadcast(msg) => {
-                    shard.window_stats.broadcasts += 1;
-                    for (to, _) in world.neighbors(node) {
-                        if !shard.loss_rngs.is_empty()
-                            && phy_drops_frame(
-                                radio.phy,
-                                world,
-                                node,
-                                to,
-                                &mut shard.loss_rngs[slot],
-                            )
-                        {
-                            shard.window_stats.phy_drops += 1;
-                            continue;
-                        }
-                        let payload = match corrupt_in_flight::<A>(
-                            radio.corruption,
-                            &mut shard.corrupt_rngs,
-                            slot,
-                            &msg,
-                            &mut shard.window_stats,
-                        ) {
-                            InFlight::Intact => msg.clone(),
-                            InFlight::Damaged(damaged) => damaged,
-                            InFlight::DroppedByFcs => continue,
-                        };
-                        let delay = delivery_delay(radio, &mut shard.jitter_rngs[slot]);
-                        shard.children.push(Child::Deliver {
-                            at: ev.time + delay,
-                            to,
-                            from: node,
-                            msg: payload,
-                            generation: generations[to.index()],
-                        });
-                    }
-                }
-                Effect::Unicast(to, msg) => {
-                    shard.window_stats.unicasts += 1;
-                    let is_data = A::is_data(&msg);
-                    if is_data {
-                        shard.window_stats.data_unicasts += 1;
-                    }
-                    if world.has_link(node, to) {
-                        if !shard.loss_rngs.is_empty()
-                            && phy_drops_frame(
-                                radio.phy,
-                                world,
-                                node,
-                                to,
-                                &mut shard.loss_rngs[slot],
-                            )
-                        {
-                            shard.window_stats.phy_drops += 1;
-                            if is_data {
-                                shard.window_stats.data_phy_drops += 1;
-                            }
-                        } else {
-                            let payload = match corrupt_in_flight::<A>(
-                                radio.corruption,
-                                &mut shard.corrupt_rngs,
-                                slot,
-                                &msg,
-                                &mut shard.window_stats,
-                            ) {
-                                InFlight::Intact => msg,
-                                InFlight::Damaged(damaged) => damaged,
-                                InFlight::DroppedByFcs => {
-                                    if is_data {
-                                        shard.window_stats.data_fcs_drops += 1;
-                                    }
-                                    continue;
-                                }
-                            };
-                            let delay = delivery_delay(radio, &mut shard.jitter_rngs[slot]);
-                            shard.children.push(Child::Deliver {
-                                at: ev.time + delay,
-                                to,
-                                from: node,
-                                msg: payload,
-                                generation: generations[to.index()],
-                            });
-                        }
-                    } else {
-                        shard.window_stats.dropped_unicasts += 1;
-                        if is_data {
-                            shard.window_stats.data_no_link_drops += 1;
-                        }
-                    }
-                }
-                Effect::Timer(after, timer) => {
-                    let at = ev.time + after;
-                    if at.as_micros() < end {
-                        shard.queue.push(Scheduled {
-                            time: at,
-                            seq: PROVISIONAL | prov,
-                            node,
-                            generation: ev.generation,
-                            kind: EventKind::Timer(timer),
-                        });
-                        prov += 1;
-                        shard.children.push(Child::LocalTimer);
-                    } else {
-                        shard.children.push(Child::Timer {
-                            at,
-                            timer,
-                            generation: ev.generation,
-                        });
-                    }
-                }
-            }
-        }
-        shard.records.push(DispatchRecord {
-            time: ev.time,
-            seq: ev.seq,
-            node,
-            children_end: shard.children.len() as u32,
-        });
+        shard.dispatch(ev, frozen, end);
     }
 }
 
@@ -610,41 +464,28 @@ where
             .map(|id| build(id, region.shard_of(world.position(id))))
             .collect();
         let rngs: Vec<SimRng> = (0..n).map(|_| engine_rng.split()).collect();
-        let jitter_rngs: Vec<SimRng> = (0..n).map(|_| engine_rng.split()).collect();
-        // Same derivation as the single-queue engine: one loss stream
-        // per node in node order, from the salted loss master. Empty
-        // (and never consulted) under the ideal PHY.
-        let mut loss_iter = loss_streams(seed, n, radio.phy).into_iter();
-        let lossy = matches!(radio.phy, PhyModel::Lossy(_));
-        // Likewise for the corruption streams: same salted master, same
-        // per-node split order as the single-queue engine. Empty (and
-        // never consulted) under `FrameCorruption::Off`.
-        let mut corrupt_iter = corrupt_streams(seed, n, radio.corruption).into_iter();
-        let corrupting = matches!(radio.corruption, FrameCorruption::On(_));
+        let jitters: Vec<SimRng> = (0..n).map(|_| engine_rng.split()).collect();
+        let members = actors
+            .into_iter()
+            .zip(rngs)
+            .zip(jitters)
+            .zip(FrontEnd::per_node(seed, n, &radio))
+            .map(|(((actor, rng), jitter), front)| Member {
+                actor,
+                rng,
+                jitter,
+                front,
+            });
 
         let mut shard_vec: Vec<Shard<A>> = (0..k).map(|_| Shard::new(scheduler)).collect();
         let mut locs = vec![(0u32, 0u32); n];
-        for (((i, actor), rng), jitter) in actors.into_iter().enumerate().zip(rngs).zip(jitter_rngs)
-        {
+        for (i, member) in members.enumerate() {
             let node = NodeId(i as u32);
             let home = region.shard_of(world.position(node));
             let shard = &mut shard_vec[home];
             locs[i] = (home as u32, shard.members.len() as u32);
             shard.members.push(node);
-            shard.actors.push(actor);
-            shard.rngs.push(rng);
-            shard.jitter_rngs.push(jitter);
-            if lossy {
-                shard
-                    .loss_rngs
-                    .push(loss_iter.next().expect("one loss stream per node"));
-                shard.busy_until.push(SimTime::ZERO);
-            }
-            if corrupting {
-                shard
-                    .corrupt_rngs
-                    .push(corrupt_iter.next().expect("one corruption stream per node"));
-            }
+            shard.slots.push(member);
         }
 
         let window_micros = radio.latency.as_micros();
@@ -801,7 +642,7 @@ where
     /// Panics if `n` is out of range.
     pub fn actor(&self, n: NodeId) -> &A {
         let (shard, slot) = self.locs[n.index()];
-        &self.shards[shard as usize].actors[slot as usize]
+        &self.shards[shard as usize].slots[slot as usize].actor
     }
 
     /// Mutable access to the actor of node `n`.
@@ -810,8 +651,7 @@ where
     ///
     /// Panics if `n` is out of range.
     pub fn actor_mut(&mut self, n: NodeId) -> &mut A {
-        let (shard, slot) = self.locs[n.index()];
-        &mut self.shards[shard as usize].actors[slot as usize]
+        &mut self.member_mut(n).actor
     }
 
     /// Iterates over `(id, actor)` pairs in node-id order.
@@ -819,7 +659,7 @@ where
         self.locs.iter().enumerate().map(|(i, &(shard, slot))| {
             (
                 NodeId(i as u32),
-                &self.shards[shard as usize].actors[slot as usize],
+                &self.shards[shard as usize].slots[slot as usize].actor,
             )
         })
     }
@@ -873,31 +713,31 @@ where
     /// Steps every shard with due work through `[its next due, end)` in
     /// parallel, then merges at the barrier.
     fn run_window_parallel(&mut self, end: u64) {
-        {
-            let world = &self.world;
-            let generations = &self.generations[..];
-            let locs = &self.locs[..];
-            let radio = self.radio;
-            let mut active: Vec<&mut Shard<A>> = Vec::new();
-            for shard in self.shards.iter_mut() {
-                if shard.queue.next_due().is_some_and(|due| due < end) {
-                    active.push(shard);
-                }
+        let frozen = Frozen {
+            world: &self.world,
+            radio: &self.radio,
+            generations: &self.generations,
+            locs: &self.locs,
+        };
+        let mut active: Vec<&mut Shard<A>> = self
+            .shards
+            .iter_mut()
+            .filter_map(|shard| {
+                let due = shard.queue.next_due()?;
+                (due < end).then_some(shard)
+            })
+            .collect();
+        if active.len() <= 1 {
+            for shard in active {
+                run_window(shard, frozen, end);
             }
-            if active.len() <= 1 {
-                for shard in active {
-                    run_window(shard, world, generations, locs, radio, end);
+        } else {
+            crossbeam::thread::scope(|scope| {
+                for shard in active.drain(..) {
+                    scope.spawn(move |_| run_window(shard, frozen, end));
                 }
-            } else {
-                crossbeam::thread::scope(|scope| {
-                    for shard in active.drain(..) {
-                        scope.spawn(move |_| {
-                            run_window(shard, world, generations, locs, radio, end)
-                        });
-                    }
-                })
-                .expect("shard worker panicked");
-            }
+            })
+            .expect("shard worker panicked");
         }
         self.barrier_merge();
     }
@@ -986,32 +826,11 @@ where
             }
         }
         for shard in &mut self.shards {
-            let w = shard.window_stats;
-            self.stats.events += w.events;
-            self.stats.broadcasts += w.broadcasts;
-            self.stats.unicasts += w.unicasts;
-            self.stats.deliveries += w.deliveries;
-            self.stats.dropped_unicasts += w.dropped_unicasts;
-            self.stats.timers += w.timers;
-            self.stats.world_changes += w.world_changes;
-            self.stats.stale_dropped += w.stale_dropped;
-            self.stats.phy_drops += w.phy_drops;
-            self.stats.collisions += w.collisions;
-            self.stats.partition_drops += w.partition_drops;
-            self.stats.corrupted_frames += w.corrupted_frames;
-            self.stats.fcs_drops += w.fcs_drops;
-            self.stats.data_unicasts += w.data_unicasts;
-            self.stats.data_deliveries += w.data_deliveries;
-            self.stats.data_no_link_drops += w.data_no_link_drops;
-            self.stats.data_phy_drops += w.data_phy_drops;
-            self.stats.data_fcs_drops += w.data_fcs_drops;
-            self.stats.data_partition_drops += w.data_partition_drops;
-            self.stats.data_collisions += w.data_collisions;
-            self.stats.data_stale_drops += w.data_stale_drops;
-            shard.window_stats = SimStats::default();
+            self.stats.merge(&std::mem::take(&mut shard.window_stats));
             self.stop |= shard.stop;
             shard.records.clear();
             shard.children.clear();
+            shard.next_prov = 0;
             shard.prov_map.clear();
         }
     }
@@ -1085,270 +904,58 @@ where
         }
     }
 
-    /// Dispatches one actor event serially (instant phase), applying its
-    /// effects immediately with exact sequence numbers — the same code
-    /// path shape as [`Simulator::step`](crate::Simulator::step).
+    /// Dispatches one actor event serially (instant phase): the same
+    /// dispatch as inside a window with nothing local (`end` = now), then
+    /// an immediate merge gives its children their exact sequence numbers.
     fn dispatch_serial(&mut self, ev: Scheduled<A::Msg>) {
         debug_assert_eq!(ev.seq & PROVISIONAL, 0, "instants only see exact seqs");
-        self.stats.events += 1;
-        let node = ev.node;
-        if ev.generation != self.generations[node.index()] {
-            self.stats.stale_dropped += 1;
-            if let EventKind::Deliver { msg, .. } = &ev.kind {
-                if A::is_data(msg) {
-                    self.stats.data_stale_drops += 1;
-                }
-            }
-            return;
-        }
-        let (shard_ix, slot) = self.locs[node.index()];
-        let (shard_ix, slot) = (shard_ix as usize, slot as usize);
-        // Active partitions drop cross-cut frames at dispatch, before
-        // the capture window — same order as `Simulator::step`.
-        if let EventKind::Deliver { from, msg } = &ev.kind {
-            if self.world.partitioned(*from, node) {
-                self.stats.partition_drops += 1;
-                if A::is_data(msg) {
-                    self.stats.data_partition_drops += 1;
-                }
-                return;
-            }
-        }
-        if let EventKind::Deliver { msg, .. } = &ev.kind {
-            let shard = &mut self.shards[shard_ix];
-            if !shard.busy_until.is_empty()
-                && phy_collides(self.radio.phy, ev.time, &mut shard.busy_until[slot])
-            {
-                self.stats.collisions += 1;
-                if A::is_data(msg) {
-                    self.stats.data_collisions += 1;
-                }
-                return;
-            }
-        }
-        let mut effects: Vec<Effect<A::Msg>> = Vec::new();
-        {
-            let shard = &mut self.shards[shard_ix];
-            let mut ctx = Context {
-                now: ev.time,
-                node,
-                world: &self.world,
-                rng: &mut shard.rngs[slot],
-                effects: &mut effects,
-                stop: &mut self.stop,
-            };
-            let actor = &mut shard.actors[slot];
-            match ev.kind {
-                EventKind::Start => actor.on_start(&mut ctx),
-                EventKind::Timer(t) => {
-                    self.stats.timers += 1;
-                    actor.on_timer(&mut ctx, t);
-                }
-                EventKind::Deliver { from, msg } => {
-                    self.stats.deliveries += 1;
-                    if A::is_data(&msg) {
-                        self.stats.data_deliveries += 1;
-                    }
-                    actor.on_message(&mut ctx, from, msg);
-                }
-                EventKind::World(_) => unreachable!("world events apply via apply_world_event"),
-            }
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent {
-                time: ev.time,
-                node,
-                kind: TraceKind::Dispatched,
-            });
-        }
-        for effect in effects {
-            match effect {
-                Effect::Broadcast(msg) => {
-                    self.stats.broadcasts += 1;
-                    let neighbors: Vec<NodeId> =
-                        self.world.neighbors(node).map(|(n, _)| n).collect();
-                    for to in neighbors {
-                        if self.phy_drops_serial(shard_ix, slot, node, to) {
-                            continue;
-                        }
-                        let payload = match self.corrupt_serial(shard_ix, slot, &msg) {
-                            InFlight::Intact => msg.clone(),
-                            InFlight::Damaged(damaged) => damaged,
-                            InFlight::DroppedByFcs => continue,
-                        };
-                        let delay = delivery_delay(
-                            self.radio,
-                            &mut self.shards[shard_ix].jitter_rngs[slot],
-                        );
-                        self.push_exact(
-                            ev.time + delay,
-                            to,
-                            EventKind::Deliver {
-                                from: node,
-                                msg: payload,
-                            },
-                        );
-                    }
-                }
-                Effect::Unicast(to, msg) => {
-                    self.stats.unicasts += 1;
-                    let is_data = A::is_data(&msg);
-                    if is_data {
-                        self.stats.data_unicasts += 1;
-                    }
-                    if self.world.has_link(node, to) {
-                        if self.phy_drops_serial(shard_ix, slot, node, to) {
-                            if is_data {
-                                self.stats.data_phy_drops += 1;
-                            }
-                            continue;
-                        }
-                        let payload = match self.corrupt_serial(shard_ix, slot, &msg) {
-                            InFlight::Intact => msg,
-                            InFlight::Damaged(damaged) => damaged,
-                            InFlight::DroppedByFcs => {
-                                if is_data {
-                                    self.stats.data_fcs_drops += 1;
-                                }
-                                continue;
-                            }
-                        };
-                        let delay = delivery_delay(
-                            self.radio,
-                            &mut self.shards[shard_ix].jitter_rngs[slot],
-                        );
-                        self.push_exact(
-                            ev.time + delay,
-                            to,
-                            EventKind::Deliver {
-                                from: node,
-                                msg: payload,
-                            },
-                        );
-                    } else {
-                        self.stats.dropped_unicasts += 1;
-                        if is_data {
-                            self.stats.data_no_link_drops += 1;
-                        }
-                    }
-                }
-                Effect::Timer(after, timer) => {
-                    self.push_exact(ev.time + after, node, EventKind::Timer(timer));
-                }
-            }
-        }
+        let frozen = Frozen {
+            world: &self.world,
+            radio: &self.radio,
+            generations: &self.generations,
+            locs: &self.locs,
+        };
+        let (end, home) = (ev.time.as_micros(), self.locs[ev.node.index()].0);
+        self.shards[home as usize].dispatch(ev, frozen, end);
+        self.barrier_merge();
     }
 
-    /// Serial-instant counterpart of the in-window drop sampling: one
-    /// draw from the sender's loss stream per delivery attempt, counted
-    /// into the global stats directly.
-    fn phy_drops_serial(&mut self, shard_ix: usize, slot: usize, from: NodeId, to: NodeId) -> bool {
-        let shard = &mut self.shards[shard_ix];
-        if shard.loss_rngs.is_empty() {
-            return false;
-        }
-        let dropped = phy_drops_frame(
-            self.radio.phy,
-            &self.world,
-            from,
-            to,
-            &mut shard.loss_rngs[slot],
-        );
-        if dropped {
-            self.stats.phy_drops += 1;
-        }
-        dropped
+    /// The engine-side state of node `n`, wherever it is homed.
+    fn member_mut(&mut self, n: NodeId) -> &mut Member<A> {
+        let (shard, slot) = self.locs[n.index()];
+        &mut self.shards[shard as usize].slots[slot as usize]
     }
 
-    /// Serial-instant counterpart of the in-window corruption sampling:
-    /// one gate draw from the sender's corruption stream per surviving
-    /// delivery attempt, counted into the global stats directly.
-    fn corrupt_serial(&mut self, shard_ix: usize, slot: usize, msg: &A::Msg) -> InFlight<A::Msg> {
-        let shard = &mut self.shards[shard_ix];
-        corrupt_in_flight::<A>(
-            self.radio.corruption,
-            &mut shard.corrupt_rngs,
-            slot,
-            msg,
-            &mut self.stats,
-        )
-    }
-
-    /// Applies one world event at a barrier: mutates the world, bumps
-    /// generations on `Leave`, and on `Join` resets the actor, re-homes
-    /// it to the shard covering its current position and restarts it —
-    /// mirroring the serial engine plus the shard migration.
+    /// Applies one world event at a barrier through the channel; a
+    /// rejoining node is additionally re-homed to the shard covering its
+    /// current position before it restarts.
     fn apply_world_event(&mut self, event: WorldEvent) {
-        let changed = self.world.apply(&event);
-        if changed {
-            self.stats.world_changes += 1;
-            if let Some(trace) = &mut self.trace {
-                trace.record(TraceEvent {
-                    time: self.now,
-                    node: match event {
-                        WorldEvent::LinkUp { a, .. }
-                        | WorldEvent::LinkDown { a, .. }
-                        | WorldEvent::QosChange { a, .. } => a,
-                        WorldEvent::Move { node, .. }
-                        | WorldEvent::Join { node }
-                        | WorldEvent::Leave { node }
-                        | WorldEvent::Crash { node } => node,
-                        // Network-level faults have no single subject.
-                        WorldEvent::Partition { .. } | WorldEvent::Heal => NodeId(0),
-                    },
-                    kind: TraceKind::WorldChanged,
-                });
-            }
+        let reboot = apply_world_event(
+            &mut self.world,
+            &mut self.generations,
+            &mut self.stats,
+            &mut self.trace,
+            self.now,
+            event,
+        );
+        let Some(reboot) = reboot else {
+            return;
+        };
+        let node = reboot.node();
+        let member = self.member_mut(node);
+        reboot.reset(&mut member.actor, &mut member.front);
+        if let Reboot::Rejoin(_) = reboot {
+            let dest = self.region.shard_of(self.world.position(node));
+            self.rehome(node, dest);
+            self.member_mut(node).actor.on_rehome(dest);
         }
-        match event {
-            WorldEvent::Leave { node } if changed => {
-                // Cancel the old life's pending timers and deliveries
-                // (they may sit in the old home shard's queue; the
-                // generation check drops them there).
-                self.generations[node.index()] += 1;
-            }
-            WorldEvent::Join { node } if changed => {
-                let (shard_ix, slot) = self.locs[node.index()];
-                self.shards[shard_ix as usize].actors[slot as usize].on_reset();
-                let dest = self.region.shard_of(self.world.position(node));
-                self.rehome(node, dest);
-                let (shard_ix, slot) = self.locs[node.index()];
-                self.shards[shard_ix as usize].actors[slot as usize].on_rehome(shard_ix as usize);
-                // No capture window survives a power cycle (mirrors the
-                // single-queue engine's Join handling).
-                if let Some(busy) = self.shards[shard_ix as usize]
-                    .busy_until
-                    .get_mut(slot as usize)
-                {
-                    *busy = SimTime::ZERO;
-                }
-                self.push_exact(self.now, node, EventKind::Start);
-            }
-            WorldEvent::Crash { node } if changed => {
-                // Instant reboot, mirroring the single-queue engine: the
-                // node keeps its position and links (no re-homing), but
-                // the old life's events die by generation, the actor
-                // wipes everything including sequence numbers, and the
-                // start handler runs again in the new generation.
-                self.generations[node.index()] += 1;
-                let (shard_ix, slot) = self.locs[node.index()];
-                self.shards[shard_ix as usize].actors[slot as usize].on_crash();
-                if let Some(busy) = self.shards[shard_ix as usize]
-                    .busy_until
-                    .get_mut(slot as usize)
-                {
-                    *busy = SimTime::ZERO;
-                }
-                self.push_exact(self.now, node, EventKind::Start);
-            }
-            _ => {}
-        }
+        self.push_exact(self.now, node, EventKind::Start);
     }
 
-    /// Moves a node's actor and RNG streams to shard `dest` (no-op when
-    /// already home). Only called at barriers, from `Join` handling; the
-    /// node's pre-Leave events in the old shard are stale-generation and
-    /// die there.
+    /// Moves a node's member state to shard `dest` (no-op when already
+    /// home). Only called at barriers, from `Join` handling; the node's
+    /// pre-Leave events in the old shard are stale-generation and die
+    /// there.
     fn rehome(&mut self, node: NodeId, dest: usize) {
         let (from, slot) = self.locs[node.index()];
         let (from, slot) = (from as usize, slot as usize);
@@ -1357,15 +964,7 @@ where
         }
         let shard = &mut self.shards[from];
         debug_assert_eq!(shard.members[slot], node);
-        let actor = shard.actors.swap_remove(slot);
-        let rng = shard.rngs.swap_remove(slot);
-        let jitter = shard.jitter_rngs.swap_remove(slot);
-        let loss = (!shard.loss_rngs.is_empty()).then(|| {
-            shard.busy_until.swap_remove(slot);
-            shard.loss_rngs.swap_remove(slot)
-        });
-        let corrupt =
-            (!shard.corrupt_rngs.is_empty()).then(|| shard.corrupt_rngs.swap_remove(slot));
+        let member = shard.slots.swap_remove(slot);
         shard.members.swap_remove(slot);
         if slot < shard.members.len() {
             let moved = shard.members[slot];
@@ -1374,16 +973,7 @@ where
         let shard = &mut self.shards[dest];
         self.locs[node.index()] = (dest as u32, shard.members.len() as u32);
         shard.members.push(node);
-        shard.actors.push(actor);
-        shard.rngs.push(rng);
-        shard.jitter_rngs.push(jitter);
-        if let Some(loss) = loss {
-            shard.loss_rngs.push(loss);
-            shard.busy_until.push(SimTime::ZERO);
-        }
-        if let Some(corrupt) = corrupt {
-            shard.corrupt_rngs.push(corrupt);
-        }
+        shard.slots.push(member);
     }
 }
 

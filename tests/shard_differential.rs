@@ -48,10 +48,21 @@ fn run(topo: &Topology, seed: u64, shards: u32, scenario: Option<&Scenario>) -> 
     } else {
         ExecMode::Sharded { shards }
     };
+    run_with(topo, seed, exec, RadioConfig::default(), scenario, 40)
+}
+
+fn run_with(
+    topo: &Topology,
+    seed: u64,
+    exec: ExecMode,
+    radio: RadioConfig,
+    scenario: Option<&Scenario>,
+    secs: u64,
+) -> RunFingerprint {
     let mut net: OlsrNetwork<Policy> = OlsrNetwork::with_exec(
         topo.clone(),
         OlsrConfig::default(),
-        RadioConfig::default(),
+        radio,
         seed,
         SchedulerKind::default(),
         exec,
@@ -61,7 +72,7 @@ fn run(topo: &Topology, seed: u64, shards: u32, scenario: Option<&Scenario>) -> 
     if let Some(s) = scenario {
         net.install_scenario(s);
     }
-    net.run_for(SimDuration::from_secs(40));
+    net.run_for(SimDuration::from_secs(secs));
     let routes = net
         .world()
         .nodes()
@@ -138,6 +149,26 @@ fn churn_runs_are_shard_count_invariant() {
     // Sanity: the scenario actually exercised the world.
     let s = churn_scenario(&topo, 3);
     assert!(s.summary().link_ups > 0 || s.summary().link_downs > 0);
+}
+
+/// With radio jitter every sender draws its delays from its own stream,
+/// so the sharded engine deliberately departs from the single queue
+/// (which draws from one engine stream) — but the shard count must still
+/// not matter: 1, 2 and 4 shards replay each other exactly.
+#[test]
+fn jittered_runs_are_shard_count_invariant() {
+    let topo = common::seeded_topology(3, 950.0, 7.0, UniformWeights::new(1, 100));
+    assert!(topo.len() >= 150, "a field large enough to span 4 stripes");
+    let radio = RadioConfig {
+        jitter: SimDuration::from_millis(2),
+        ..RadioConfig::default()
+    };
+    let one = run_with(&topo, 3, ExecMode::Sharded { shards: 1 }, radio, None, 8);
+    assert!(one.engine.deliveries > 0);
+    for shards in [2, 4] {
+        let sharded = run_with(&topo, 3, ExecMode::Sharded { shards }, radio, None, 8);
+        assert_eq!(one, sharded, "shards={shards} diverges under jitter");
+    }
 }
 
 /// Degenerate shard requests must clamp, not crash: more shards than
