@@ -15,7 +15,10 @@
 //! The engines differ only in how they give the resulting children a
 //! sequence number, which is why every stage hands its output back (a
 //! delivery sink, a returned timer, a returned [`Reboot`]) instead of
-//! scheduling it.
+//! scheduling it. The sink sees each copy as a [`Frame`], so an engine
+//! that shares one broadcast frame among its receivers (the single
+//! queue's delivery batches) clones it once per batch, not once per
+//! receiver.
 
 use qolsr_graph::{DynamicTopology, NodeId, WorldEvent};
 
@@ -66,6 +69,27 @@ impl FrontEnd {
                 busy_until: SimTime::ZERO,
             })
             .collect()
+    }
+}
+
+/// One surviving copy of a frame, as [`Channel::transmit`] hands it to
+/// an engine's delivery sink.
+pub(crate) enum Frame<'m, M> {
+    /// An undamaged broadcast copy: the sender's frame, shared by every
+    /// intact receiver. A sink that queues it on its own clones it.
+    Intact(&'m M),
+    /// A copy of its own: a unicast frame, or a damaged broadcast copy.
+    Owned(M),
+}
+
+impl<M: Clone> Frame<'_, M> {
+    /// The copy as an owned message, cloning a shared frame.
+    #[inline]
+    pub(crate) fn into_owned(self) -> M {
+        match self {
+            Frame::Intact(msg) => msg.clone(),
+            Frame::Owned(msg) => msg,
+        }
     }
 }
 
@@ -153,7 +177,9 @@ impl Channel<'_> {
                 count_data::<A>(&msg, &mut self.stats.data_deliveries);
                 actor.on_message(&mut ctx, from, msg);
             }
-            EventKind::World(_) => unreachable!("world events never reach an actor"),
+            EventKind::World(_) | EventKind::DeliverBatch(_) => {
+                unreachable!("world events and unopened batches never reach an actor")
+            }
         }
     }
 
@@ -162,7 +188,8 @@ impl Channel<'_> {
     /// destination if the link exists; each copy takes one loss draw and
     /// one corruption gate from `from`'s front end, then a delivery delay
     /// drawing jitter from `jitter`. Every surviving copy goes to
-    /// `deliver(at, to, msg)`; a Timer effect is handed back.
+    /// `deliver(at, to, frame)`, in fan-out order; a Timer effect is
+    /// handed back.
     #[inline]
     pub(crate) fn transmit<A: Actor>(
         &mut self,
@@ -171,7 +198,7 @@ impl Channel<'_> {
         front: &mut FrontEnd,
         jitter: &mut SimRng,
         effect: Effect<A::Msg>,
-        mut deliver: impl FnMut(SimTime, NodeId, A::Msg),
+        mut deliver: impl FnMut(SimTime, NodeId, Frame<'_, A::Msg>),
     ) -> Option<(SimDuration, TimerId)> {
         match effect {
             Effect::Broadcast(msg) => {
@@ -179,8 +206,8 @@ impl Channel<'_> {
                 let world = self.world;
                 for (to, _) in world.neighbors(from) {
                     let copy = match self.hop::<A>(from, to, front, &msg, false) {
-                        Hop::Intact => msg.clone(),
-                        Hop::Damaged(damaged) => damaged,
+                        Hop::Intact => Frame::Intact(&msg),
+                        Hop::Damaged(damaged) => Frame::Owned(damaged),
                         Hop::Lost => continue,
                     };
                     deliver(now + self.delay(jitter), to, copy);
@@ -200,7 +227,7 @@ impl Channel<'_> {
                     Hop::Damaged(damaged) => damaged,
                     Hop::Lost => return None,
                 };
-                deliver(now + self.delay(jitter), to, copy);
+                deliver(now + self.delay(jitter), to, Frame::Owned(copy));
             }
             Effect::Timer(after, timer) => return Some((after, timer)),
         }

@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 use qolsr_graph::{DynamicTopology, NodeId, Topology, WorldEvent};
 use qolsr_metrics::LinkQos;
 
-use crate::channel::{apply_world_event, Channel, FrontEnd};
+use crate::channel::{apply_world_event, Channel, Frame, FrontEnd};
 use crate::queue::{EventQueue, QueueItem, SchedulerKind};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -389,6 +389,10 @@ pub(crate) enum EventKind<M> {
     Timer(TimerId),
     Deliver { from: NodeId, msg: M },
     World(WorldEvent),
+    // A run of intact broadcast copies sharing one instant, as an index
+    // into the single-queue engine's `Batches` slab. Never reaches the
+    // channel: the engine dispatches it receiver by receiver.
+    DeliverBatch(u32),
 }
 
 pub(crate) struct Scheduled<M> {
@@ -443,6 +447,112 @@ fn enqueue<M>(
         kind,
     });
     *seq += 1;
+}
+
+/// One run of intact copies of a broadcast: the receivers of a single
+/// [`EventKind::DeliverBatch`] queue entry.
+struct Batch<M> {
+    from: NodeId,
+    /// The shared frame; `None` while the entry is free.
+    msg: Option<M>,
+    /// `(receiver, its generation at send time)`, in fan-out order.
+    receivers: Vec<(NodeId, u32)>,
+}
+
+/// The batch being dispatched: the instant and sequence number of its
+/// next receiver.
+#[derive(Clone, Copy)]
+struct Cursor {
+    batch: u32,
+    time: SimTime,
+    seq: u64,
+    next: usize,
+}
+
+/// The single-queue engine's delivery batches. With zero radio jitter
+/// every copy of a broadcast lands at one instant under contiguous
+/// sequence numbers, so a run of intact copies queues as one entry that
+/// reserves one number per receiver: nothing queued later can fall
+/// between its receivers, and dispatching them in fan-out order replays
+/// the per-receiver schedule exactly. Entries and their receiver `Vec`s
+/// are recycled through a free list, so the queue item stays small.
+struct Batches<M> {
+    slab: Vec<Batch<M>>,
+    free: Vec<u32>,
+    cursor: Option<Cursor>,
+}
+
+impl<M: Clone> Batches<M> {
+    fn new() -> Self {
+        Self {
+            slab: Vec::new(),
+            free: Vec::new(),
+            cursor: None,
+        }
+    }
+
+    /// Opens an empty batch of `from`'s frame `msg`.
+    fn open(&mut self, from: NodeId, msg: M) -> u32 {
+        let b = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Batch {
+                from,
+                msg: None,
+                receivers: Vec::new(),
+            });
+            (self.slab.len() - 1) as u32
+        });
+        let batch = &mut self.slab[b as usize];
+        batch.from = from;
+        batch.msg = Some(msg);
+        b
+    }
+
+    /// Due instant (µs) of the next receiver of the batch being
+    /// dispatched.
+    fn next_due(&self) -> Option<u64> {
+        self.cursor.map(|c| c.time.as_micros())
+    }
+
+    /// Starts dispatching a popped batch entry and returns its first
+    /// receiver's delivery.
+    fn start(&mut self, batch: u32, time: SimTime, seq: u64) -> Scheduled<M> {
+        self.cursor = Some(Cursor {
+            batch,
+            time,
+            seq,
+            next: 0,
+        });
+        self.next().expect("a batch has at least one receiver")
+    }
+
+    /// The next receiver's delivery of the batch being dispatched. The
+    /// last receiver takes the frame by move and frees the entry.
+    fn next(&mut self) -> Option<Scheduled<M>> {
+        let cursor = self.cursor.as_mut()?;
+        let batch = &mut self.slab[cursor.batch as usize];
+        let (node, generation) = batch.receivers[cursor.next];
+        let (time, seq) = (cursor.time, cursor.seq);
+        cursor.next += 1;
+        cursor.seq += 1;
+        let msg = if cursor.next == batch.receivers.len() {
+            batch.receivers.clear();
+            self.free.push(cursor.batch);
+            self.cursor = None;
+            batch.msg.take().expect("open batch holds its frame")
+        } else {
+            batch.msg.clone().expect("open batch holds its frame")
+        };
+        Some(Scheduled {
+            time,
+            seq,
+            node,
+            generation,
+            kind: EventKind::Deliver {
+                from: batch.from,
+                msg,
+            },
+        })
+    }
 }
 
 /// Engine statistics.
@@ -601,6 +711,8 @@ pub struct Simulator<A: Actor> {
     /// state).
     fronts: Vec<FrontEnd>,
     queue: EventQueue<Scheduled<A::Msg>>,
+    /// Receivers of [`EventKind::DeliverBatch`] entries.
+    batches: Batches<A::Msg>,
     now: SimTime,
     seq: u64,
     stats: SimStats,
@@ -647,6 +759,7 @@ impl<A: Actor> Simulator<A> {
             engine_rng,
             fronts: FrontEnd::per_node(seed, n, &radio),
             queue: EventQueue::new(scheduler),
+            batches: Batches::new(),
             now: SimTime::ZERO,
             seq: 0,
             stats: SimStats::default(),
@@ -762,7 +875,7 @@ impl<A: Actor> Simulator<A> {
         if self.stop {
             return false;
         }
-        let Some(ev) = self.queue.pop() else {
+        let Some(ev) = self.next_event() else {
             return false;
         };
         debug_assert!(ev.time >= self.now, "time must be monotone");
@@ -800,18 +913,49 @@ impl<A: Actor> Simulator<A> {
             });
         }
         // Children get exact sequence numbers in emission order; jitter
-        // comes from the single engine stream.
+        // comes from the single engine stream. Without jitter, each run
+        // of intact broadcast copies becomes one batch; a damaged copy
+        // ends the run and queues on its own.
         let (queue, seq, generations) = (&mut self.queue, &mut self.seq, &self.generations);
+        let batches = &mut self.batches;
+        let batching = self.radio.jitter == SimDuration::ZERO;
         for effect in effects.drain(..) {
+            let mut run: Option<u32> = None;
             let timer = channel.transmit::<A>(
                 node,
                 now,
                 &mut self.fronts[i],
                 &mut self.engine_rng,
                 effect,
-                |at, to, msg| {
-                    let kind = EventKind::Deliver { from: node, msg };
-                    enqueue(queue, seq, at, to, generations[to.index()], kind);
+                |at, to, frame| {
+                    let generation = generations[to.index()];
+                    match frame {
+                        Frame::Intact(msg) if batching => {
+                            // The entry takes the run's first number;
+                            // each receiver reserves one.
+                            let b = *run.get_or_insert_with(|| {
+                                let b = batches.open(node, msg.clone());
+                                queue.push(Scheduled {
+                                    time: at,
+                                    seq: *seq,
+                                    node: to,
+                                    generation,
+                                    kind: EventKind::DeliverBatch(b),
+                                });
+                                b
+                            });
+                            batches.slab[b as usize].receivers.push((to, generation));
+                            *seq += 1;
+                        }
+                        frame => {
+                            run = None;
+                            let kind = EventKind::Deliver {
+                                from: node,
+                                msg: frame.into_owned(),
+                            };
+                            enqueue(queue, seq, at, to, generation, kind);
+                        }
+                    }
                 },
             );
             if let Some((after, timer)) = timer {
@@ -821,6 +965,21 @@ impl<A: Actor> Simulator<A> {
         }
         self.effects = effects;
         true
+    }
+
+    /// The next event in `(time, seq)` order: the next receiver of the
+    /// batch being dispatched, else the queue head (a batch entry opens
+    /// its first receiver).
+    #[inline]
+    fn next_event(&mut self) -> Option<Scheduled<A::Msg>> {
+        if let Some(ev) = self.batches.next() {
+            return Some(ev);
+        }
+        let ev = self.queue.pop()?;
+        Some(match ev.kind {
+            EventKind::DeliverBatch(b) => self.batches.start(b, ev.time, ev.seq),
+            _ => ev,
+        })
     }
 
     /// Applies a world event through the channel and restarts the node
@@ -848,7 +1007,9 @@ impl<A: Actor> Simulator<A> {
     pub fn run_until(&mut self, deadline: SimTime) {
         let deadline = deadline.max(self.now);
         loop {
-            match self.queue.next_due() {
+            // A batch being dispatched precedes everything queued.
+            let due = self.batches.next_due().or_else(|| self.queue.next_due());
+            match due {
                 Some(due) if due <= deadline.as_micros() => {
                     if !self.step() {
                         return;
@@ -1362,6 +1523,14 @@ mod tests {
         sim.run_for(SimDuration::from_secs(1));
         assert_eq!(sim.stats().collisions, 0);
         assert_eq!(sim.stats().deliveries, 2);
+    }
+
+    /// A queue item stays small: a broadcast's receiver list lives in the
+    /// batch slab, never inline in [`Scheduled`], where it would grow
+    /// every queued timer and delivery (and the wheel's resident slots).
+    #[test]
+    fn scheduled_item_stays_small() {
+        assert!(std::mem::size_of::<Scheduled<[u64; 4]>>() <= 72);
     }
 
     #[test]

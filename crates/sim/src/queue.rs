@@ -45,13 +45,6 @@ const N_WORDS: usize = N_SLOTS / 64;
 /// One slot short of the full ring so absolute slot indices stay
 /// unambiguous modulo [`N_SLOTS`].
 const SPAN_US: u64 = ((N_SLOTS as u64) - 1) << SLOT_BITS;
-/// Capacity a drained slot keeps. Busy simulations put tens of
-/// thousands of deliveries into a single 1 ms slot; without this cap
-/// every slot would eventually retain its peak-burst capacity and the
-/// wheel's footprint would approach `N_SLOTS × peak` (gigabytes at
-/// n = 4000). A small retained buffer keeps the common refill
-/// allocation-free while bounding idle memory to `N_SLOTS × 32` items.
-const SLOT_RETAIN: usize = 32;
 
 /// An item schedulable on an [`EventQueue`].
 ///
@@ -231,14 +224,18 @@ impl<T: QueueItem> TimerWheel<T> {
             let idx = (start + d) % N_SLOTS;
             self.due_end += (d as u64 + 1) << SLOT_BITS;
             self.occupied[idx / 64] &= !(1u64 << (idx % 64));
-            self.ring_len -= self.slots[idx].len();
-            let slot = &mut self.slots[idx];
+            // A drained slot gives its buffer back. A retained buffer,
+            // even a capped one, costs ~18 MiB per wheel at a 32-item
+            // cap, and a busy slot outgrows the cap and is shrunk again
+            // on every ring turn; that realloc churn fragments the heap
+            // until peak RSS is ~2× the live heap (perfbench `flood`).
+            // A slot refills once per ring turn, so a fresh allocation
+            // costs little.
+            let slot = std::mem::take(&mut self.slots[idx]);
+            self.ring_len -= slot.len();
             self.due.reserve(slot.len());
-            for item in slot.drain(..) {
+            for item in slot {
                 self.due.push(Reverse(item));
-            }
-            if slot.capacity() > SLOT_RETAIN {
-                slot.shrink_to(SLOT_RETAIN);
             }
             self.refill_from_overflow();
         }

@@ -310,12 +310,12 @@ impl<A: Actor> Shard<A> {
                 &mut member.front,
                 &mut member.jitter,
                 effect,
-                |at, to, msg| {
+                |at, to, frame| {
                     children.push(Child::Deliver {
                         at,
                         to,
                         from: node,
-                        msg,
+                        msg: frame.into_owned(),
                         generation: generations[to.index()],
                     })
                 },
